@@ -6,6 +6,8 @@
 //! closed-source; [`FastLz`] is a from-scratch codec of the same
 //! algorithmic class (see `DESIGN.md` §2).
 
+use std::cell::RefCell;
+
 use dr_hashes::mix64;
 
 use crate::error::CodecError;
@@ -68,9 +70,9 @@ impl FastLz {
         self.probes
     }
 
-    /// Tokenizes `input` with a greedy single-pass matcher. Public so the
-    /// GPU sub-chunk compressor can reuse the exact matcher per region.
-    /// Always single-probe, matching [`FastLz::new`].
+    /// Tokenizes `input` with the greedy single-pass matcher: the token-IR
+    /// form of what [`FastLz::compress_into`] writes. Always single-probe,
+    /// matching [`FastLz::new`].
     pub fn tokenize(input: &[u8]) -> Vec<Token> {
         tokenize_region(input, 0, input.len(), input.len())
     }
@@ -78,26 +80,31 @@ impl FastLz {
     /// Compresses `input` into `out` (cleared first), reusing its capacity.
     ///
     /// Single-pass: the matcher emits wire bytes directly into the frame as
-    /// it scans, so no token IR or intermediate buffer is allocated. The
-    /// produced frame is byte-identical to [`Codec::compress`].
+    /// it scans, on the calling thread's reused match table, so no token
+    /// IR, intermediate buffer or table is allocated. The produced frame is
+    /// byte-identical to [`Codec::compress`].
     pub fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
-        frame::seal_with(input, out, |original, payload| {
-            scan_region_dispatch(
-                original,
-                0,
-                original.len(),
-                original.len(),
-                self.probes,
-                &mut WireSink(payload),
-            );
+        with_thread_table(|table| {
+            frame::seal_with(input, out, |original, payload| {
+                scan_region_dispatch(
+                    original,
+                    0,
+                    original.len(),
+                    original.len(),
+                    self.probes,
+                    table,
+                    &mut WireSink::new(payload),
+                );
+            });
         });
     }
 }
 
 /// Receives matcher output: either a literal span or a back-reference.
-/// Lets one matcher implementation drive both the token-IR path (GPU
-/// post-processing needs tokens for merge surgery) and the single-pass
-/// wire path (CPU hot loop needs zero intermediate allocation).
+/// Lets one matcher implementation drive both the token-IR path (the
+/// reference tokenizer tests compare against) and the single-pass wire
+/// path (the CPU codec and the GPU kernel's host pass, which need zero
+/// intermediate allocation).
 trait TokenSink {
     fn literals(&mut self, bytes: &[u8]);
     fn matched(&mut self, offset: usize, len: usize);
@@ -112,51 +119,166 @@ impl TokenSink for Vec<Token> {
     }
 }
 
-/// Emits the wire encoding straight into a byte buffer.
-struct WireSink<'a>(&'a mut Vec<u8>);
+/// Emits the wire encoding straight into a byte buffer, counting the raw
+/// token bytes as it goes: one control byte plus the bytes of each literal
+/// run, three bytes per match, before the wire format's run and match
+/// splitting. That count is the size of a GPU kernel thread's output
+/// stream.
+struct WireSink<'a> {
+    out: &'a mut Vec<u8>,
+    raw_token_bytes: u64,
+}
+
+impl<'a> WireSink<'a> {
+    fn new(out: &'a mut Vec<u8>) -> Self {
+        WireSink {
+            out,
+            raw_token_bytes: 0,
+        }
+    }
+}
 
 impl TokenSink for WireSink<'_> {
     fn literals(&mut self, bytes: &[u8]) {
-        emit_literals(self.0, bytes);
+        self.raw_token_bytes += bytes.len() as u64 + 1;
+        emit_literals(self.out, bytes);
     }
     fn matched(&mut self, offset: usize, len: usize) {
-        emit_match(self.0, offset, len);
+        self.raw_token_bytes += 3;
+        emit_match(self.out, offset, len);
     }
+}
+
+/// Number of `u32` slots behind a [`MatchTable`]: room for the widest
+/// bucket layout, so one table serves every probe width.
+const TABLE_SLOTS: usize = TABLE_SIZE * MAX_PROBES as usize;
+
+/// A reusable, generation-tagged match table.
+///
+/// Slots hold `base + pos` rather than `pos`. Each scan claims a fresh
+/// generation by advancing `base` past every position it can store, so an
+/// entry left by an earlier scan reads back (`slot - base`, wrapping) as a
+/// position beyond the current scan's end: it fails the matcher's
+/// `candidate < pos` check exactly as an empty slot would, and no scan
+/// pays to zero the table. The slots are zeroed only when `base` would
+/// wrap `u32`.
+pub(crate) struct MatchTable {
+    slots: Box<[u32]>,
+    /// Generation of the next scan; always `>= 1`, so a zeroed slot is
+    /// stale too.
+    base: u32,
+}
+
+impl MatchTable {
+    /// A zeroed table whose first scan is generation 1.
+    pub(crate) fn new() -> Self {
+        Self::with_base(1)
+    }
+
+    /// A zeroed table whose first scan is generation `base`. Tests start
+    /// near `u32::MAX` to run the wrap-and-clear branch.
+    pub(crate) fn with_base(base: u32) -> Self {
+        assert!(base >= 1, "generation 0 would make zeroed slots live");
+        MatchTable {
+            slots: vec![0; TABLE_SLOTS].into_boxed_slice(),
+            base,
+        }
+    }
+
+    /// The generation the next scan will claim.
+    #[cfg(test)]
+    pub(crate) fn generation(&self) -> u32 {
+        self.base
+    }
+
+    /// Claims the generation for a scan that stores positions below `end`
+    /// and returns its base with the slots viewed as `PROBES`-wide
+    /// buckets.
+    fn claim<const PROBES: usize>(
+        &mut self,
+        end: usize,
+    ) -> (u32, &mut [[u32; PROBES]; TABLE_SIZE]) {
+        // `base + end <= u32::MAX` keeps every stale entry reading back
+        // above `end`, hence above any scan position.
+        let span = u32::try_from(end)
+            .ok()
+            .filter(|&span| span < u32::MAX)
+            .expect("input exceeds the match table's u32 position range");
+        if u32::MAX - self.base < span {
+            self.slots.fill(0);
+            self.base = 1;
+        }
+        let base = self.base;
+        self.base += span;
+        let (buckets, _) = self.slots.as_chunks_mut::<PROBES>();
+        let buckets = (&mut buckets[..TABLE_SIZE])
+            .try_into()
+            .expect("the slots hold TABLE_SIZE buckets of every width");
+        (base, buckets)
+    }
+}
+
+thread_local! {
+    /// The calling thread's match table, reused by every scan it runs.
+    static THREAD_TABLE: RefCell<MatchTable> = RefCell::new(MatchTable::new());
+}
+
+/// Runs `f` with the calling thread's [`MatchTable`].
+pub(crate) fn with_thread_table<R>(f: impl FnOnce(&mut MatchTable) -> R) -> R {
+    THREAD_TABLE.with_borrow_mut(f)
 }
 
 /// Greedy-tokenizes `input[start..end]`, allowing matches that reach back
 /// at most `window` bytes (and never before `input[0]`). Offsets are
 /// relative distances, so the produced tokens decode correctly whenever at
 /// least `start` bytes of history precede them — the property the GPU
-/// post-processor relies on.
+/// post-processor relies on. Runs on a fresh table: the token-IR reference
+/// the single-pass paths are tested against.
 pub(crate) fn tokenize_region(input: &[u8], start: usize, end: usize, window: usize) -> Vec<Token> {
     let mut tokens = Vec::new();
-    scan_region(input, start, end, window, &mut tokens);
+    scan_region_probed::<1>(
+        input,
+        start,
+        end,
+        window,
+        &mut MatchTable::new(),
+        &mut tokens,
+    );
     tokens
 }
 
-/// The greedy single-pass matcher core behind [`tokenize_region`] and
-/// [`FastLz::compress_into`]; match decisions are identical regardless of
-/// the sink, so both paths produce the same token sequence.
-fn scan_region(input: &[u8], start: usize, end: usize, window: usize, sink: &mut dyn TokenSink) {
-    scan_region_probed::<1>(input, start, end, window, sink);
+/// Appends the wire encoding of `input[start..end]` (the same tokens as
+/// [`tokenize_region`]) to `out` through `table`, and returns the raw
+/// token bytes of the region (see [`WireSink`]).
+pub(crate) fn encode_region(
+    input: &[u8],
+    start: usize,
+    end: usize,
+    window: usize,
+    table: &mut MatchTable,
+    out: &mut Vec<u8>,
+) -> u64 {
+    let mut sink = WireSink::new(out);
+    scan_region_probed::<1>(input, start, end, window, table, &mut sink);
+    sink.raw_token_bytes
 }
 
-/// Monomorphizes the probe width: the table is a stack array, so its size
-/// must be a compile-time constant per variant.
+/// Monomorphizes the probe width: the bucket width is a compile-time
+/// constant per variant.
 fn scan_region_dispatch(
     input: &[u8],
     start: usize,
     end: usize,
     window: usize,
     probes: u8,
+    table: &mut MatchTable,
     sink: &mut dyn TokenSink,
 ) {
     match probes {
-        1 => scan_region_probed::<1>(input, start, end, window, sink),
-        2 => scan_region_probed::<2>(input, start, end, window, sink),
-        3 => scan_region_probed::<3>(input, start, end, window, sink),
-        _ => scan_region_probed::<4>(input, start, end, window, sink),
+        1 => scan_region_probed::<1>(input, start, end, window, table, sink),
+        2 => scan_region_probed::<2>(input, start, end, window, table, sink),
+        3 => scan_region_probed::<3>(input, start, end, window, table, sink),
+        _ => scan_region_probed::<4>(input, start, end, window, table, sink),
     }
 }
 
@@ -178,24 +300,23 @@ fn hash_key(key: u32) -> usize {
     (mix64(key as u64 | 0x0100_0000) as usize) & (TABLE_SIZE - 1)
 }
 
-/// Absent-slot sentinel. Positions are stored as `u32` so the table stays
-/// half the size (and cache footprint) of a `usize` table; the frame
-/// format's u32 length field already bounds inputs below `u32::MAX`.
-const EMPTY: u32 = u32::MAX;
-
-/// Pushes `pos` as the newest candidate in its bucket, aging out the
-/// oldest. With `PROBES == 1` this is exactly the direct-mapped overwrite.
+/// Pushes `pos` (tagged with the scan's generation `base`) as the newest
+/// candidate in its bucket, aging out the oldest. With `PROBES == 1` this
+/// is exactly the direct-mapped overwrite. Positions are stored as `u32`
+/// so the table stays half the size (and cache footprint) of a `usize`
+/// table.
 #[inline]
 fn bucket_push<const PROBES: usize>(
     table: &mut [[u32; PROBES]; TABLE_SIZE],
     slot: usize,
+    base: u32,
     pos: usize,
 ) {
     let bucket = &mut table[slot];
     for i in (1..PROBES).rev() {
         bucket[i] = bucket[i - 1];
     }
-    bucket[0] = pos as u32;
+    bucket[0] = base + pos as u32;
 }
 
 /// Greedy single-pass scan over a `PROBES`-way set-associative match
@@ -203,21 +324,27 @@ fn bucket_push<const PROBES: usize>(
 /// ties going to the most recent (smallest-offset) candidate. Extension is
 /// SWAR ([`match_len`]) — decision-identical to the byte-at-a-time loop,
 /// so `PROBES == 1` reproduces the historical output byte for byte.
+///
+/// This is the one LZ scan loop in the crate: [`FastLz`] and the GPU
+/// kernel's host pass run it on the calling thread's reused table,
+/// [`tokenize_region`] on a fresh one. Stale generations read exactly as
+/// empty slots, so the table's history never changes a decision.
 fn scan_region_probed<const PROBES: usize>(
     input: &[u8],
     start: usize,
     end: usize,
     window: usize,
+    table: &mut MatchTable,
     sink: &mut dyn TokenSink,
 ) {
     debug_assert!(start <= end && end <= input.len());
-    let mut table = [[EMPTY; PROBES]; TABLE_SIZE];
+    let (base, table) = table.claim::<PROBES>(end);
     // Seed the table with positions from the visible history window so the
     // first bytes of the region can match backwards into it.
     let hist_start = start.saturating_sub(window);
     if end >= MIN_MATCH {
         for pos in hist_start..start.min(end - MIN_MATCH + 1) {
-            bucket_push(&mut table, hash_key(three_bytes(input, pos)), pos);
+            bucket_push(table, hash_key(three_bytes(input, pos)), base, pos);
         }
     }
 
@@ -231,16 +358,15 @@ fn scan_region_probed<const PROBES: usize>(
         let mut best = usize::MAX;
         let limit = end - pos;
         for &candidate in &table[slot] {
-            // Reject empty, future, and out-of-window slots without
-            // branching: `EMPTY as usize` is `u32::MAX` (never below a
-            // valid position — the frame format bounds inputs under
-            // `u32::MAX`), and `wrapping_sub` turns a future candidate
-            // into a huge distance both range checks refuse. Eager `&`
-            // instead of `&&` keeps this a flag computation — a fresh
-            // table makes slot occupancy a coin flip for most of a 4 KiB
-            // chunk, and a data-dependent branch here mispredicts its
-            // way to ~2x the scan cost.
-            let candidate = candidate as usize;
+            // Reject stale, future, and out-of-window slots without
+            // branching: a stale generation reads back above `end` (see
+            // `MatchTable`), so it is never below a valid position, and
+            // `wrapping_sub` turns a future candidate into a huge
+            // distance both range checks refuse. Eager `&` instead of
+            // `&&` keeps this a flag computation — slot occupancy is a
+            // coin flip for most of a 4 KiB chunk, and a data-dependent
+            // branch here mispredicts its way to ~2x the scan cost.
+            let candidate = candidate.wrapping_sub(base) as usize;
             let distance = pos.wrapping_sub(candidate);
             let in_range = (candidate < pos)
                 & (distance <= MAX_OFFSET)
@@ -263,7 +389,7 @@ fn scan_region_probed<const PROBES: usize>(
                 }
             }
         }
-        bucket_push(&mut table, slot, pos);
+        bucket_push(table, slot, base, pos);
 
         if matched >= MIN_MATCH {
             if literal_start < pos {
@@ -274,7 +400,7 @@ fn scan_region_probed<const PROBES: usize>(
             // reference it (bounded to keep the pass single-speed).
             let insert_end = (pos + matched).min(end.saturating_sub(MIN_MATCH - 1));
             for p in (pos + 1..insert_end).take(8) {
-                bucket_push(&mut table, hash_key(three_bytes(input, p)), p);
+                bucket_push(table, hash_key(three_bytes(input, p)), base, p);
             }
             pos += matched;
             literal_start = pos;
@@ -390,6 +516,62 @@ mod tests {
             let via_tokens = frame::seal(input, &FastLz::tokenize(input));
             codec.compress_into(input, &mut out);
             assert_eq!(out, via_tokens, "input len {}", input.len());
+        }
+    }
+
+    #[test]
+    fn stale_generations_stay_stale_across_the_wrap() {
+        // One slot holds the largest position of an early generation.
+        // Every later claim — through the u32 wrap, and on until the base
+        // climbs past that old value again — must read it back past the
+        // scan's end, where the matcher treats it as an empty slot.
+        const END: usize = 1 << 20;
+        let mut table = MatchTable::with_base(u32::MAX - 2 * END as u32);
+        let (base, buckets) = table.claim::<1>(END);
+        let planted = base + (END as u32 - 1);
+        buckets[0][0] = planted;
+        let mut wrapped = false;
+        for claim in 0..2 * (u32::MAX as usize / END) {
+            let (base, buckets) = table.claim::<1>(END);
+            wrapped |= base < planted;
+            let read = buckets[0][0].wrapping_sub(base) as usize;
+            assert!(read > END, "claim {claim}: stale slot reads as {read}");
+        }
+        assert!(wrapped, "the generation never wrapped");
+    }
+
+    #[test]
+    fn reused_thread_table_matches_fresh_table_across_probe_widths() {
+        // Interleaved probe widths and input sizes on this thread's one
+        // table must seal exactly what a scan on a fresh table seals:
+        // stale generations of any bucket layout read as empty slots.
+        let inputs: Vec<Vec<u8>> = vec![
+            include_str!("fastlz.rs").as_bytes()[..4096].to_vec(),
+            vec![7u8; 300],
+            include_str!("token.rs").as_bytes().repeat(3),
+            b"abcabcabd".repeat(50),
+        ];
+        let mut out = Vec::new();
+        let mut fresh = Vec::new();
+        for _ in 0..2 {
+            for probes in [4, 1, 3, 2] {
+                for input in &inputs {
+                    FastLz::with_probes(probes).compress_into(input, &mut out);
+                    frame::seal_with(input, &mut fresh, |original, payload| {
+                        let len = original.len();
+                        scan_region_dispatch(
+                            original,
+                            0,
+                            len,
+                            len,
+                            probes,
+                            &mut MatchTable::new(),
+                            &mut WireSink::new(payload),
+                        );
+                    });
+                    assert_eq!(out, fresh, "probes {probes} len {}", input.len());
+                }
+            }
         }
     }
 

@@ -2061,10 +2061,13 @@ impl Pipeline {
     }
 
     /// GPU compression: one batched kernel, then CPU post-processing
-    /// ("refinement") per chunk. Transient launch faults are retried with
-    /// backoff; exhausted retries (or a lost device, or an open latch)
+    /// ("refinement") per chunk. The kernel's host pass runs once, fanned
+    /// out over the persistent pool into recycled arena buffers; only its
+    /// device pass is re-run when a transient launch fault is retried with
+    /// backoff. Exhausted retries (or a lost device, or an open latch)
     /// route the batch to [`Pipeline::cpu_compress`] instead — the frames
-    /// still get sealed, just slower.
+    /// still get sealed, just slower. As in `cpu_compress`, the simulated
+    /// cost accounting stays serial and in input order.
     fn gpu_compress(
         &mut self,
         payload: &BatchPayload,
@@ -2084,12 +2087,14 @@ impl Pipeline {
             return self.cpu_compress(payload, chunks, unique, SimTime::ZERO);
         }
         let views: Vec<&[u8]> = unique.iter().map(|&i| payload.view(i)).collect();
+        let mut frames: Vec<Vec<u8>> = unique.iter().map(|_| self.arena.take()).collect();
+        let host = self.gpu_comp.host_pass(&self.pool, &views, &mut frames);
         let backoff = self.config.degrade.backoff();
         let mut at = batch_ready;
         let mut retry = 0u32;
-        let (frames, report) = loop {
-            match self.gpu_comp.compress_batch(at, &mut self.gpu, &views) {
-                Ok(out) => break out,
+        let report = loop {
+            match self.gpu_comp.device_pass(at, &mut self.gpu, &views, &host) {
+                Ok(report) => break report,
                 Err(e) if e.is_transient() && backoff.permits(retry) => {
                     at += backoff.delay(retry);
                     retry += 1;
@@ -2115,6 +2120,9 @@ impl Pipeline {
                     );
                     // The time burnt attempting the GPU is the floor for
                     // the CPU fallback — degradation is never free.
+                    for frame_bytes in frames {
+                        self.arena.put(frame_bytes);
+                    }
                     return self.cpu_compress(payload, chunks, unique, at);
                 }
             }
@@ -2624,24 +2632,30 @@ mod tests {
     #[test]
     fn pool_width_does_not_change_simulated_results() {
         // Host pool width is a wall-clock knob only; the simulated array
-        // (CpuModel::workers) is what the timeline models.
+        // (CpuModel::workers) is what the timeline models. Every mode runs
+        // host work on the pool: hashing and index probes, and either the
+        // CPU codec or the GPU kernel's host pass.
         let data = stream();
-        let mut baseline = None;
-        for pool_workers in [1usize, 2, 4] {
-            let mut cfg = small_config(IntegrationMode::CpuOnly);
-            cfg.pool_workers = pool_workers;
-            let mut p = Pipeline::new(cfg);
-            let r = p.run(&data);
-            let key = (
-                r.chunks,
-                r.unique_chunks,
-                r.stored_bytes,
-                r.reduction_end,
-                r.ssd_end,
-            );
-            match &baseline {
-                None => baseline = Some(key),
-                Some(b) => assert_eq!(*b, key, "pool_workers={pool_workers} diverged"),
+        for mode in IntegrationMode::ALL {
+            let mut baseline = None;
+            for pool_workers in [1usize, 2, 4] {
+                let mut cfg = small_config(mode);
+                cfg.pool_workers = pool_workers;
+                let mut p = Pipeline::new(cfg);
+                let r = p.run(&data);
+                let key = (
+                    r.chunks,
+                    r.unique_chunks,
+                    r.stored_bytes,
+                    r.reduction_end,
+                    r.ssd_end,
+                    r.gpu_kernels,
+                    r.to_string(),
+                );
+                match &baseline {
+                    None => baseline = Some(key),
+                    Some(b) => assert_eq!(*b, key, "{mode}: pool_workers={pool_workers} diverged"),
+                }
             }
         }
     }

@@ -90,6 +90,18 @@ else
     echo "    trace OK (python3 unavailable; checked non-empty only)"
 fi
 
+# Pool-width smoke: host pool width is a wall-clock knob only. e3 runs
+# the GPU kernel's host pass and the CPU codec on the worker pool, so a
+# one-worker and a four-worker run must print bit-identical stdout
+# (DESIGN.md §9, §13).
+echo "==> pool-width smoke (e3 scaled down, 1 vs 4 pool workers stdout diff)"
+DR_SCALE=0.125 DR_POOL_WORKERS=1 target/release/e3_compress_throughput \
+    > target/ci-e3-pool1.out
+DR_SCALE=0.125 DR_POOL_WORKERS=4 target/release/e3_compress_throughput \
+    > target/ci-e3-pool4.out
+diff target/ci-e3-pool1.out target/ci-e3-pool4.out
+echo "    pool widths OK (stdout bit-identical)"
+
 # Read-path parity smoke: batched reads must return bit-identical bytes
 # to a serial read loop, for every pool width and both decompression
 # routing arms, with a pool-width-independent read clock (DESIGN.md §14).

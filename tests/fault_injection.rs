@@ -5,9 +5,11 @@
 //! build without the fault layer at all.
 
 use inline_dr::gpu_sim::GpuFaultSpec;
+use inline_dr::hashes::sha1_digest;
 use inline_dr::obs::ObsHandle;
-use inline_dr::reduction::{IntegrationMode, Pipeline, PipelineConfig};
+use inline_dr::reduction::{DegradePolicy, IntegrationMode, Pipeline, PipelineConfig};
 use inline_dr::ssd_sim::SsdFaultSpec;
+use inline_dr::workload::{StreamConfig, StreamGenerator};
 
 /// A dedup-able, compressible stream: 192 blocks over 48 patterns, half of
 /// each block pseudo-random so compression has real work to do.
@@ -314,4 +316,77 @@ fn zero_fault_config_is_bit_identical_to_default() {
         // The printed report is also byte-identical (no fault line).
         assert_eq!(rb.to_string(), re.to_string(), "{mode}");
     }
+}
+
+#[test]
+fn gpu_launch_retries_then_cpu_fallback_keep_pinned_frames_and_report() {
+    // Transient launch failures at rate 0.5 with 16-chunk batches: some
+    // batches succeed after one or more retries (each retry re-runs only
+    // the device side of the batch; the host functional pass is reused),
+    // others burn the retry schedule and fall back to the CPU codec. The
+    // frames and the report are pinned to what the serial token-IR kernel
+    // produced under this schedule.
+    let obs = ObsHandle::enabled("gpu-retry-fallback");
+    let mut cfg = config(IntegrationMode::GpuForCompression);
+    cfg.obs = obs.clone();
+    cfg.batch_chunks = 16;
+    cfg.verify = true;
+    cfg.gpu_spec.faults = GpuFaultSpec {
+        launch_failure_rate: 0.5,
+        seed: 7,
+        ..GpuFaultSpec::default()
+    };
+    let data: Vec<u8> = StreamGenerator::new(StreamConfig {
+        total_bytes: 2 << 20,
+        dedup_ratio: 1.5,
+        compression_ratio: 2.0,
+        seed: 1,
+        ..StreamConfig::default()
+    })
+    .blocks()
+    .flatten()
+    .collect();
+    let (p, blocks) = run_and_read_back(cfg, &data);
+    for (i, original) in data.chunks(4096).enumerate() {
+        assert_eq!(blocks[i], original, "block {i} lost data");
+    }
+    let snap = obs.snapshot().expect("enabled handle snapshots");
+    let counter = |name: &str| {
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
+    };
+    let report = p.report();
+    // The scenario really covers both halves: retried batches that then
+    // completed on the GPU, and batches that degraded to the CPU.
+    let max_retries = u64::from(DegradePolicy::default().max_retries);
+    let fallbacks = report.degraded_transitions;
+    assert!(report.gpu_comp_batches > 0, "no batch completed on the GPU");
+    assert!(fallbacks > 0, "no batch fell back to the CPU");
+    assert!(
+        report.fault_retries > fallbacks * max_retries,
+        "no retried batch completed on the GPU"
+    );
+    assert_eq!(
+        (
+            report.gpu_comp_batches,
+            report.fault_retries,
+            report.degraded_transitions,
+            report.stored_bytes,
+            counter("compress.gpu_out_bytes"),
+            counter("compress.gpu_raw_token_bytes"),
+            sha1_digest(format!("{report:?}").as_bytes()).to_hex(),
+        ),
+        (
+            2,
+            5,
+            1,
+            772_511,
+            51_218,
+            49_946,
+            "d8961d2e1cbec84c795bbf191d1a207e7dbf15b4".to_string()
+        ),
+        "frames or report diverged from the pinned pre-change values"
+    );
 }
