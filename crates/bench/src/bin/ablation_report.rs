@@ -14,7 +14,7 @@
 
 use dr_bench::{render_table, write_metrics_json};
 use dr_binindex::{BinIndexConfig, MemoryModel, ReplacementPolicy};
-use dr_compress::{Codec, FastLz, GpuCompressor, GpuCompressorConfig};
+use dr_compress::{FastLz, GpuCompressor, GpuCompressorConfig};
 use dr_hashes::sha1_digest;
 use dr_obs::{snapshots_to_json, ObsHandle, Snapshot};
 use dr_reduction::{IntegrationMode, Pipeline, PipelineConfig};

@@ -1,12 +1,12 @@
 //! Fixed-size chunking (the paper's default for primary storage).
 
-use crate::{Chunk, Chunker};
+use crate::Chunk;
 
 /// Cuts a stream into fixed-size, block-aligned chunks; a short final chunk
 /// is emitted as-is so framing stays lossless.
 ///
 /// ```
-/// use dr_chunking::{Chunker, FixedChunker};
+/// use dr_chunking::FixedChunker;
 /// let chunker = FixedChunker::new(8);
 /// let chunks: Vec<_> = chunker.chunk(b"0123456789ab").collect();
 /// assert_eq!(chunks.len(), 2);
@@ -33,21 +33,16 @@ impl FixedChunker {
     pub fn size(&self) -> usize {
         self.size
     }
-}
 
-impl Chunker for FixedChunker {
-    type Iter<'a> = FixedChunks<'a>;
-
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> FixedChunks<'a> {
+    /// Cuts `data` into chunks. Chunks are non-empty, contiguous, in
+    /// stream order, and concatenating `chunk.data` in order reproduces the
+    /// input exactly (lossless framing).
+    pub fn chunk<'a>(&self, data: &'a [u8]) -> FixedChunks<'a> {
         FixedChunks {
             data,
             size: self.size,
             offset: 0,
         }
-    }
-
-    fn target_chunk_size(&self) -> usize {
-        self.size
     }
 }
 

@@ -4,17 +4,15 @@
 //! into the base units whose redundancy is checked. Primary-storage systems
 //! overwhelmingly use **fixed-size** chunks aligned to the block size (the
 //! paper uses 4 KB for compression experiments and 8 KB for capacity
-//! sizing); this crate provides that chunker plus a content-defined
-//! Rabin-fingerprint chunker as an extension for backup-style streams.
+//! sizing). This crate provides that chunker:
 //!
 //! * [`FixedChunker`] — fixed-size, block-aligned chunking (paper default),
-//! * [`RabinChunker`] — content-defined chunking with min/avg/max bounds,
 //! * [`Chunk`] — a borrowed view of one chunk plus its stream offset.
 //!
 //! # Example
 //!
 //! ```
-//! use dr_chunking::{Chunker, FixedChunker};
+//! use dr_chunking::FixedChunker;
 //!
 //! let data = vec![7u8; 10_000];
 //! let chunker = FixedChunker::new(4096);
@@ -24,10 +22,8 @@
 //! ```
 
 pub mod fixed;
-pub mod rabin;
 
 pub use fixed::FixedChunker;
-pub use rabin::{RabinChunker, RabinConfig};
 
 /// A single chunk cut from a stream: a borrowed byte window plus where it
 /// came from.
@@ -45,28 +41,10 @@ impl<'a> Chunk<'a> {
         self.data.len()
     }
 
-    /// True when the chunk is empty (never produced by the chunkers).
+    /// True when the chunk is empty (never produced by the chunker).
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-}
-
-/// Something that can cut a byte stream into [`Chunk`]s.
-///
-/// Both chunkers guarantee: chunks are non-empty, contiguous, in stream
-/// order, and concatenating `chunk.data` in order reproduces the input
-/// exactly (lossless framing).
-pub trait Chunker {
-    /// The iterator type produced by [`Chunker::chunk`].
-    type Iter<'a>: Iterator<Item = Chunk<'a>>
-    where
-        Self: 'a;
-
-    /// Cuts `data` into chunks.
-    fn chunk<'a>(&'a self, data: &'a [u8]) -> Self::Iter<'a>;
-
-    /// The average/target chunk size in bytes, used for capacity planning.
-    fn target_chunk_size(&self) -> usize;
 }
 
 #[cfg(test)]

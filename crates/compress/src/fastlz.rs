@@ -14,7 +14,6 @@ use crate::error::CodecError;
 use crate::frame;
 use crate::scan::match_len;
 use crate::token::{emit_literals, emit_match, Token, MAX_OFFSET, MIN_MATCH};
-use crate::Codec;
 
 /// Number of slots in the direct-mapped match table (power of two).
 const TABLE_SIZE: usize = 1 << 12;
@@ -25,7 +24,7 @@ pub const MAX_PROBES: u8 = 4;
 /// The fast single-pass codec.
 ///
 /// ```
-/// use dr_compress::{Codec, FastLz};
+/// use dr_compress::FastLz;
 /// let codec = FastLz::new();
 /// let packed = codec.compress(&[0u8; 4096]);
 /// assert!(packed.len() < 128);
@@ -82,7 +81,7 @@ impl FastLz {
     /// Single-pass: the matcher emits wire bytes directly into the frame as
     /// it scans, on the calling thread's reused match table, so no token
     /// IR, intermediate buffer or table is allocated. The produced frame is
-    /// byte-identical to [`Codec::compress`].
+    /// byte-identical to [`FastLz::compress`].
     pub fn compress_into(&self, input: &[u8], out: &mut Vec<u8>) {
         with_thread_table(|table| {
             frame::seal_with(input, out, |original, payload| {
@@ -97,6 +96,25 @@ impl FastLz {
                 );
             });
         });
+    }
+
+    /// Compresses `input` into a self-framing block: an LZ frame, or
+    /// stored-raw when compression does not pay, so expansion is bounded
+    /// by the frame header.
+    pub fn compress(&self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.compress_into(input, &mut out);
+        out
+    }
+
+    /// Decompresses a block produced by [`FastLz::compress`] (or any other
+    /// frame sealer in this crate).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodecError`] when the block is truncated or corrupt.
+    pub fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
+        frame::open(input)
     }
 }
 
@@ -410,26 +428,6 @@ fn scan_region_probed<const PROBES: usize>(
     }
     if literal_start < end {
         sink.literals(&input[literal_start..end]);
-    }
-}
-
-impl Codec for FastLz {
-    fn name(&self) -> &str {
-        "fastlz"
-    }
-
-    fn compress(&self, input: &[u8]) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.compress_into(input, &mut out);
-        out
-    }
-
-    fn compress_to(&self, input: &[u8], out: &mut Vec<u8>) {
-        self.compress_into(input, out);
-    }
-
-    fn decompress(&self, input: &[u8]) -> Result<Vec<u8>, CodecError> {
-        frame::open(input)
     }
 }
 

@@ -14,11 +14,10 @@
 //! ```
 
 use crate::error::CodecError;
-use crate::token::{decode_stream, encode_tokens, Token};
+use crate::token::{decode_stream, Token, MAX_MATCH};
 
 const METHOD_RAW: u8 = 0;
 const METHOD_LZ: u8 = 1;
-const METHOD_LZH: u8 = 2;
 const HEADER_LEN: usize = 5;
 
 /// The header's original-length field, checked instead of silently
@@ -37,8 +36,6 @@ pub enum Frame {
     Raw,
     /// The block stores an LZ token stream.
     Lz,
-    /// The block stores a Huffman-coded LZ token stream.
-    LzHuffman,
 }
 
 /// Wraps `tokens` for `original` into a frame, falling back to stored-raw
@@ -96,32 +93,6 @@ pub fn seal_with(original: &[u8], out: &mut Vec<u8>, encode: impl FnOnce(&[u8], 
     }
 }
 
-/// Like [`seal`], but additionally tries a Huffman entropy pass over the
-/// encoded tokens and keeps whichever of {raw, LZ, LZ+Huffman} is
-/// smallest.
-///
-/// # Panics
-///
-/// Panics when `original` exceeds the format's u32 length field.
-pub fn seal_entropy(original: &[u8], tokens: &[Token]) -> Vec<u8> {
-    let header_len = header_len_of(original);
-    let encoded = encode_tokens(tokens);
-    let entropy = crate::huffman::huffman_encode(&encoded);
-    let (method, payload): (u8, &[u8]) =
-        if entropy.len() < encoded.len() && entropy.len() < original.len() {
-            (METHOD_LZH, &entropy)
-        } else if encoded.len() < original.len() {
-            (METHOD_LZ, &encoded)
-        } else {
-            (METHOD_RAW, original)
-        };
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.push(method);
-    out.extend_from_slice(&header_len);
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Wraps `original` as a stored-raw frame unconditionally.
 pub fn seal_raw(original: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + original.len());
@@ -155,7 +126,6 @@ pub fn inspect(block: &[u8]) -> Result<(Frame, usize), CodecError> {
     match block[0] {
         METHOD_RAW => Ok((Frame::Raw, original_len)),
         METHOD_LZ => Ok((Frame::Lz, original_len)),
-        METHOD_LZH => Ok((Frame::LzHuffman, original_len)),
         _ => Err(CodecError::BadHeader),
     }
 }
@@ -180,7 +150,10 @@ pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
             Ok(payload.to_vec())
         }
         Frame::Lz => {
-            let mut out = Vec::with_capacity(original_len);
+            // The header length is unchecked (no CRC covers it unless the
+            // integrity envelope is on), so reserve no more than the
+            // payload can possibly decode to.
+            let mut out = Vec::with_capacity(original_len.min(max_decoded_len(payload.len())));
             decode_stream(payload, &mut out)?;
             if out.len() != original_len {
                 return Err(CodecError::LengthMismatch {
@@ -190,19 +163,14 @@ pub fn open(block: &[u8]) -> Result<Vec<u8>, CodecError> {
             }
             Ok(out)
         }
-        Frame::LzHuffman => {
-            let tokens = crate::huffman::huffman_decode(payload)?;
-            let mut out = Vec::with_capacity(original_len);
-            decode_stream(&tokens, &mut out)?;
-            if out.len() != original_len {
-                return Err(CodecError::LengthMismatch {
-                    expected: original_len,
-                    got: out.len(),
-                });
-            }
-            Ok(out)
-        }
     }
+}
+
+/// Upper bound on the bytes an LZ wire payload of `payload_len` bytes can
+/// decode to: a 3-byte match record yields at most [`MAX_MATCH`] bytes, and
+/// a literal run never yields more bytes than it occupies.
+fn max_decoded_len(payload_len: usize) -> usize {
+    (payload_len / 3) * MAX_MATCH + payload_len % 3
 }
 
 /// Token-level shape of a decoded frame — what a GPU decompression kernel
@@ -243,10 +211,6 @@ pub fn open_with_stats(block: &[u8]) -> Result<(Vec<u8>, FrameStats), CodecError
             stats.literal_bytes = out.len();
         }
         Frame::Lz => scan_token_stats(&block[HEADER_LEN..], &mut stats),
-        Frame::LzHuffman => {
-            let tokens = crate::huffman::huffman_decode(&block[HEADER_LEN..])?;
-            scan_token_stats(&tokens, &mut stats);
-        }
     }
     debug_assert_eq!(stats.literal_bytes + stats.match_bytes, original_len);
     Ok((out, stats))
@@ -446,25 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn open_with_stats_handles_entropy_frames() {
-        // Force an LZH frame: highly repetitive tokens compress under
-        // Huffman too.
-        let original: Vec<u8> = b"aaaabbbb".repeat(64);
-        let tokens = vec![
-            Token::Literals(original[..8].to_vec()),
-            Token::Match {
-                offset: 8,
-                len: original.len() - 8,
-            },
-        ];
-        let block = seal_entropy(&original, &tokens);
-        let (out, stats) = open_with_stats(&block).unwrap();
-        assert_eq!(out, original);
-        assert_eq!(stats.literal_bytes + stats.match_bytes, original.len());
-        assert!(stats.tokens >= 2);
-    }
-
-    #[test]
     fn length_mismatch_detected_for_lz() {
         let original = b"abcabcabcabcabcabcabc";
         let tokens = vec![
@@ -482,5 +427,49 @@ mod tests {
             open(&block),
             Err(CodecError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_header_length_is_bounded_by_the_payload() {
+        // A short valid LZ payload under a corrupted header claiming
+        // u32::MAX bytes must fail with a length mismatch, without first
+        // reserving what the header claims.
+        let original = b"abcabcabcabcabcabcabc";
+        let tokens = vec![
+            Token::Literals(b"abc".to_vec()),
+            Token::Match {
+                offset: 3,
+                len: original.len() - 3,
+            },
+        ];
+        let mut block = seal(original, &tokens);
+        assert_eq!(inspect(&block).unwrap().0, Frame::Lz);
+        block[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            open(&block),
+            Err(CodecError::LengthMismatch {
+                expected,
+                got,
+            }) if expected == u32::MAX as usize && got == original.len()
+        ));
+    }
+
+    #[test]
+    fn max_decoded_len_is_tight_for_match_heavy_payloads() {
+        // One literal then max-length matches: each 3-byte match record
+        // yields MAX_MATCH bytes and the 2-byte literal record yields one,
+        // so the bound is exactly one byte over.
+        let wire = crate::token::encode_tokens(&[
+            Token::Literals(b"a".to_vec()),
+            Token::Match {
+                offset: 1,
+                len: 4 * MAX_MATCH,
+            },
+        ]);
+        let mut out = Vec::new();
+        decode_stream(&wire, &mut out).unwrap();
+        let bound = max_decoded_len(wire.len());
+        assert!(out.len() <= bound, "{} > {bound}", out.len());
+        assert_eq!(bound - out.len(), 1);
     }
 }

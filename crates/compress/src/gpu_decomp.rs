@@ -90,7 +90,7 @@ impl GpuDecompObs {
 /// # Example
 ///
 /// ```
-/// use dr_compress::{Codec, FastLz, GpuDecompressor, GpuDecompressorConfig};
+/// use dr_compress::{FastLz, GpuDecompressor, GpuDecompressorConfig};
 /// use dr_gpu_sim::{GpuDevice, GpuSpec};
 /// use dr_des::SimTime;
 ///
@@ -251,7 +251,7 @@ impl GpuDecompressor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Codec, FastLz};
+    use crate::FastLz;
     use dr_gpu_sim::GpuSpec;
 
     fn gpu() -> GpuDevice {

@@ -1,8 +1,8 @@
-//! SWAR match scanning shared by the LZ matchers.
+//! SWAR match scanning for the LZ matcher.
 //!
-//! Greedy match extension is the hottest loop in both [`crate::FastLz`]
-//! and [`crate::Lz77`]: every candidate is extended byte-at-a-time until
-//! the first mismatch. [`match_len`] does the same comparison eight bytes
+//! Greedy match extension is the hottest loop in [`crate::FastLz`] (and so
+//! in every GPU sub-chunk thread, which runs the same matcher): every
+//! candidate is extended byte-at-a-time until the first mismatch. [`match_len`] does the same comparison eight bytes
 //! at a time — XOR two `u64` loads and locate the first differing byte
 //! with `trailing_zeros` — falling back to bytes for the tail.
 //!

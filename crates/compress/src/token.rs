@@ -1,7 +1,7 @@
 //! The shared LZ token IR and its byte-stream encoding.
 //!
-//! Every matcher in this crate (CPU LZ77, FastLz, each GPU sub-chunk
-//! thread) produces [`Token`]s; one encoder/decoder pair turns token
+//! Every matcher in this crate (FastLz, each GPU sub-chunk thread)
+//! produces [`Token`]s; one encoder/decoder pair turns token
 //! sequences into bytes. Keeping the IR shared is what makes the GPU path's
 //! CPU *post-processing* simple: merging per-thread outputs is token
 //! surgery, not bit twiddling.
@@ -141,8 +141,6 @@ pub fn encode_tokens(tokens: &[Token]) -> Vec<u8> {
 /// [`CodecError::BadMatchOffset`] when a match reaches before the start of
 /// `out` as it stood at call time plus what has been decoded since.
 pub fn decode_stream(mut input: &[u8], out: &mut Vec<u8>) -> Result<(), CodecError> {
-    let base = 0; // matches may reach into bytes already in `out`
-    let _ = base;
     while let Some((&control, rest)) = input.split_first() {
         input = rest;
         if control & 0x80 == 0 {

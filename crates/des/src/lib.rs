@@ -5,7 +5,6 @@
 //! host machine. This crate provides the pieces shared by all device models:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a monotonic, FIFO-stable priority queue of events,
 //! * [`Resource`] — a capacity-`c` server used to model CPU cores, GPU
 //!   command queues, PCIe links and SSD channels,
 //! * [`stats`] — counters, histograms and throughput meters,
@@ -30,7 +29,6 @@
 //! ```
 
 pub mod backoff;
-pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -38,7 +36,6 @@ pub mod testkit;
 pub mod time;
 
 pub use backoff::ExponentialBackoff;
-pub use event::{EventQueue, ScheduledEvent};
 pub use resource::{Grant, Resource};
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, ThroughputMeter};

@@ -1,28 +1,7 @@
 //! Randomized tests: DES kernel invariants.
 
 use dr_des::testkit::{self, Cases};
-use dr_des::{EventQueue, Histogram, Resource, SimDuration, SimTime};
-
-/// Events always pop in non-decreasing time order, FIFO within ties.
-#[test]
-fn event_queue_orders() {
-    Cases::new("event_queue_orders", 0xD35_0001).run(96, |rng| {
-        let n = testkit::usize_in(rng, 0, 199);
-        let times: Vec<u64> = (0..n).map(|_| testkit::u64_in(rng, 0, 999)).collect();
-        let mut q = EventQueue::new();
-        for (seq, t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(*t), seq);
-        }
-        let drained = q.drain_ordered();
-        for pair in drained.windows(2) {
-            assert!(pair[0].time <= pair[1].time);
-            if pair[0].time == pair[1].time {
-                assert!(pair[0].payload < pair[1].payload, "FIFO violated");
-            }
-        }
-        assert_eq!(drained.len(), times.len());
-    });
-}
+use dr_des::{Histogram, Resource, SimDuration, SimTime};
 
 /// A capacity-c resource never runs more than c jobs concurrently,
 /// never idles while work is waiting (work conservation for equal

@@ -1,4 +1,4 @@
-//! Cryptographic and fast hashing for the `inline-dr` deduplication path.
+//! Chunk fingerprinting and checksums for the `inline-dr` deduplication path.
 //!
 //! The paper fingerprints every chunk with **SHA-1** (20-byte digests, 32-byte
 //! index entries including metadata) and routes digests to *bins* by a hash
@@ -6,12 +6,13 @@
 //!
 //! * [`Sha1`] — FIPS 180-1 SHA-1 with an incremental API, verified against
 //!   the standard test vectors,
-//! * [`Sha256`] — FIPS 180-2 SHA-256 (used by the collision-hardened
-//!   configuration, an extension over the paper),
-//! * [`fast`] — fast non-cryptographic 64-bit hashes for compression match
-//!   tables and bin routing,
-//! * [`parallel`] — order-preserving multi-buffer hashing across CPU worker
-//!   threads (the paper's "hashing has no inter-chunk dependency" stage),
+//! * [`Crc32c`] — CRC-32C (Castagnoli) checksums for the integrity path,
+//!   journal records and snapshots,
+//! * [`mix64`] — a 64-bit finalization mixer for the FastLz match table and
+//!   the cluster's placement ring,
+//! * [`hash_chunks_pooled`] — order-preserving batch hashing across CPU
+//!   worker threads (the paper's "hashing has no inter-chunk dependency"
+//!   stage),
 //! * [`ChunkDigest`] — the 20-byte chunk fingerprint with prefix extraction
 //!   used by the bin router and by prefix truncation.
 //!
@@ -30,12 +31,10 @@ pub mod digest;
 pub mod fast;
 pub mod parallel;
 pub mod sha1;
-pub mod sha256;
 pub mod simd;
 
 pub use crc32c::{crc32c, Crc32c};
 pub use digest::ChunkDigest;
-pub use fast::{fnv1a64, mix64, FastHasher};
-pub use parallel::{hash_chunks_parallel, hash_chunks_pooled, ParallelHasher};
+pub use fast::mix64;
+pub use parallel::hash_chunks_pooled;
 pub use sha1::{sha1_digest, Sha1};
-pub use sha256::{sha256_digest, Sha256};

@@ -16,7 +16,7 @@
 //! one caused — the quantitative version of the paper's motivation.
 
 use dr_binindex::{BinIndex, BinIndexConfig, ChunkRef};
-use dr_compress::{Codec, FastLz};
+use dr_compress::FastLz;
 use dr_des::SimTime;
 use dr_hashes::sha1_digest;
 use dr_ssd_sim::{SsdDevice, SsdSpec};

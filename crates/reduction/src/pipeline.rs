@@ -4,10 +4,9 @@ use dr_binindex::{
     BinHit, BinIndex, BinIndexConfig, ChunkRef, GpuBinIndex, GpuBinIndexConfig, GpuProbe,
     ProbeKind, RoutingObs,
 };
-use dr_chunking::{Chunker, FixedChunker};
+use dr_chunking::FixedChunker;
 use dr_compress::{
-    frame, Codec, FastLz, GpuCompressor, GpuCompressorConfig, GpuDecompressor,
-    GpuDecompressorConfig,
+    frame, FastLz, GpuCompressor, GpuCompressorConfig, GpuDecompressor, GpuDecompressorConfig,
 };
 use dr_des::{Grant, Resource, SimTime};
 use dr_gpu_sim::{GpuDevice, GpuSpec};
@@ -2046,7 +2045,7 @@ impl Pipeline {
         let mut outs: Vec<(usize, Vec<u8>)> =
             unique.iter().map(|&i| (i, self.arena.take())).collect();
         self.pool.for_each_mut(&mut outs, |_, (i, buf)| {
-            codec.compress_to(payload.view(*i), buf);
+            codec.compress_into(payload.view(*i), buf);
         });
         outs.into_iter()
             .map(|(i, frame_bytes)| {

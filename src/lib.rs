@@ -9,9 +9,9 @@
 //!
 //! * [`reduction`] — the integrated pipeline (the paper's contribution),
 //! * [`binindex`] — bin-based parallel deduplication index,
-//! * [`compress`] — LZ codecs including the GPU sub-chunk compressor,
-//! * [`chunking`] — fixed-size and content-defined chunkers,
-//! * [`hashes`] — SHA-1 and fast hashing,
+//! * [`compress`] — the FastLz CPU codec and the GPU sub-chunk compressor,
+//! * [`chunking`] — the fixed-size, block-aligned chunker,
+//! * [`hashes`] — SHA-1 fingerprints, CRC-32C and pooled batch hashing,
 //! * [`gpu_sim`] — the simulated GPU device model,
 //! * [`ssd_sim`] — the simulated SSD device model,
 //! * [`workload`] — vdbench-style data stream generation,
