@@ -78,15 +78,14 @@ fn steady_state_probes_do_not_allocate() {
 
     // A batched probe may allocate its result vector (one allocation per
     // *batch*), but nothing per probe.
-    let pool = dr_pool::WorkerPool::new(0);
     let queries: Vec<(ChunkDigest, ProbeKind)> = digests
         .iter()
         .take(1_000)
         .map(|d| (*d, ProbeKind::Full))
         .collect();
-    std::hint::black_box(index.probe_batch_on(&pool, &queries)); // warm up
+    std::hint::black_box(index.probe_batch(&queries)); // warm up
     let before = allocations();
-    let out = index.probe_batch_on(&pool, &queries);
+    let out = index.probe_batch(&queries);
     let after = allocations();
     assert_eq!(out.iter().filter(|r| r.is_some()).count(), 1_000);
     drop(out);

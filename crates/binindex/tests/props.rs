@@ -4,7 +4,6 @@
 use dr_binindex::{restore, snapshot, BinIndex, BinIndexConfig, ChunkRef, ProbeKind};
 use dr_des::testkit::{self, Cases};
 use dr_hashes::sha1_digest;
-use dr_pool::WorkerPool;
 use std::collections::{HashMap, HashSet};
 
 fn digest_of(i: u64) -> dr_hashes::ChunkDigest {
@@ -48,34 +47,12 @@ fn behaves_like_a_map() {
     });
 }
 
-/// Parallel batch lookup matches serial lookup for any batch.
+/// Batched stats-free probes (the pipeline path) agree with the bins:
+/// `Full` probes with plain serial lookups, `BufferOnly` probes with the
+/// bin buffer alone.
 #[test]
-fn parallel_lookup_matches_serial() {
-    Cases::new("parallel_lookup_matches_serial", 0xB14_0002).run(64, |rng| {
-        let present: Vec<u64> = (0..testkit::usize_in(rng, 0, 99))
-            .map(|_| testkit::u64_in(rng, 0, 99))
-            .collect();
-        let queries: Vec<u64> = (0..testkit::usize_in(rng, 0, 199))
-            .map(|_| testkit::u64_in(rng, 0, 149))
-            .collect();
-        let workers = testkit::usize_in(rng, 1, 5);
-        let mut index = BinIndex::new(BinIndexConfig::default());
-        for k in &present {
-            index.insert(digest_of(*k), ChunkRef::new(*k, 1));
-        }
-        let digests: Vec<_> = queries.iter().map(|q| digest_of(*q)).collect();
-        let expect: Vec<Option<ChunkRef>> = digests.iter().map(|d| index.lookup(d)).collect();
-        let pool = dr_pool::WorkerPool::new(workers - 1);
-        assert_eq!(index.lookup_batch_on(&pool, &digests), expect);
-    });
-}
-
-/// Batched stats-free probes (the pipeline path) return bit-identical
-/// results for every pool width, and `Full` probes agree with plain
-/// serial lookups.
-#[test]
-fn batched_probes_match_serial_across_widths() {
-    Cases::new("batched_probes_match_serial_across_widths", 0xB14_0004).run(48, |rng| {
+fn batched_probes_match_serial_lookups() {
+    Cases::new("batched_probes_match_serial_lookups", 0xB14_0004).run(48, |rng| {
         let present: Vec<u64> = (0..testkit::usize_in(rng, 0, 99))
             .map(|_| testkit::u64_in(rng, 0, 99))
             .collect();
@@ -97,21 +74,19 @@ fn batched_probes_match_serial_across_widths() {
                 (d, kind)
             })
             .collect();
-        // Width 1 takes the serial path; wider pools shard. All must agree.
-        let reference = index.probe_batch_on(&WorkerPool::new(0), &queries);
-        for extra_workers in 1..4usize {
-            let pool = WorkerPool::new(extra_workers);
-            assert_eq!(
-                index.probe_batch_on(&pool, &queries),
-                reference,
-                "width {} diverged from serial",
-                extra_workers + 1
-            );
-        }
-        // Full probes agree with the serial stats-tracking lookup.
-        for ((d, kind), got) in queries.iter().zip(&reference) {
-            if *kind == ProbeKind::Full {
-                assert_eq!(index.lookup(d), got.map(|(r, _)| r));
+        let got = index.probe_batch(&queries);
+        assert_eq!(got.len(), queries.len());
+        for ((d, kind), got) in queries.iter().zip(&got) {
+            let bin = index.bin(index.router().route(d));
+            let key = index.key_of(d);
+            match kind {
+                ProbeKind::Full => {
+                    assert_eq!(*got, bin.lookup(&key));
+                    assert_eq!(index.lookup(d), got.map(|(r, _)| r));
+                }
+                ProbeKind::BufferOnly => {
+                    assert_eq!(got.map(|(r, _)| r), bin.lookup_buffer(&key));
+                }
             }
         }
     });

@@ -139,10 +139,14 @@ impl BatchCore {
         }
     }
 
-    /// Runs one item under `catch_unwind`; on panic, records the payload
-    /// and empties every range so the batch quiesces early. Returns false
-    /// when the batch is poisoned and the participant should stop.
-    fn run_item(&self, f: &(dyn Fn(usize) + Sync), index: usize) -> bool {
+    /// Runs one claimed item under `catch_unwind`; on panic, records the
+    /// payload and empties every range so the batch quiesces early.
+    /// Returns false when the batch is poisoned and the participant should
+    /// stop.
+    fn run_item(&self, index: usize) -> bool {
+        // SAFETY: see `RawFn` — `index` is claimed, so the publishing
+        // `map_batch` frame (and the closure) is still alive.
+        let f = unsafe { &*self.f.0 };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(index)));
         match outcome {
             Ok(()) => true,
@@ -167,13 +171,11 @@ impl BatchCore {
     /// thread's wall track.
     pub(crate) fn participate(&self, slot: usize, tracer: &Tracer) {
         self.active.fetch_add(1, Ordering::AcqRel);
-        // SAFETY: see `RawFn` — we hold an index claim or touch no state.
-        let f = unsafe { &*self.f.0 };
         let slots = self.ranges.len();
         let own = slot % slots;
         'work: loop {
             while let Some(i) = self.claim_one(own) {
-                if !self.run_item(f, i) {
+                if !self.run_item(i) {
                     break 'work;
                 }
             }
@@ -199,7 +201,7 @@ impl BatchCore {
                     trace_args(&[("victim", victim as u64), ("stolen", (hi - lo) as u64)]),
                 );
                 for i in lo..hi {
-                    if !self.run_item(f, i) {
+                    if !self.run_item(i) {
                         break 'work;
                     }
                 }

@@ -18,7 +18,8 @@
 //!   loop, collecting results in input order / mutating disjoint slots.
 //! * [`WorkerPool::spawn`] — a fire-and-forget job with a joinable
 //!   [`JobHandle`], used by the pipeline to hash batch *N+1* while batch
-//!   *N* compresses and destages (double buffering).
+//!   *N* compresses and destages (double buffering). A joiner runs a
+//!   job no worker has claimed yet itself instead of waiting for one.
 //!
 //! A pool with **zero workers** degrades to inline execution on the caller
 //! thread — no threads, deterministic, and useful for tests and
@@ -26,7 +27,8 @@
 //!
 //! Instrumentation (all through `dr-obs`, inert unless enabled): a
 //! `pool.queue_depth` gauge, `pool.tasks` / `pool.steals` / `pool.batches`
-//! / `pool.jobs` counters, and a `pool.batch_wall_ns` latency histogram.
+//! / `pool.jobs` / `pool.jobs_inline` (jobs their joiner ran) counters,
+//! and a `pool.batch_wall_ns` latency histogram.
 //!
 //! ```
 //! use dr_pool::WorkerPool;
@@ -44,6 +46,7 @@ pub use job::JobHandle;
 use batch::BatchCore;
 use dr_obs::trace::{Tracer, Track};
 use dr_obs::{CounterHandle, GaugeHandle, HistogramHandle, ObsHandle};
+use job::{Job, Runnable};
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
@@ -94,25 +97,28 @@ pub fn default_workers() -> usize {
 /// Interned pool metrics; all handles are no-ops until
 /// [`WorkerPool::set_obs`] installs live ones.
 #[derive(Debug, Clone, Default)]
-struct PoolObs {
+pub(crate) struct PoolObs {
     queue_depth: GaugeHandle,
     tasks: CounterHandle,
     steals: CounterHandle,
     batches: CounterHandle,
     jobs: CounterHandle,
+    jobs_inline: CounterHandle,
     batch_wall_ns: HistogramHandle,
     tracer: Tracer,
 }
 
 /// One unit of work a pool thread can pick up.
 enum Work {
-    Job(Box<dyn FnOnce() + Send>),
+    Job(Arc<dyn Runnable>),
     Batch(Arc<BatchCore>),
 }
 
 /// Shared pool state behind the mutex.
 struct State {
-    jobs: VecDeque<Box<dyn FnOnce() + Send>>,
+    /// Submitted jobs in order. An entry a joiner already ran stays here
+    /// until a worker pops it and finds it empty.
+    jobs: VecDeque<Arc<dyn Runnable>>,
     batches: Vec<Arc<BatchCore>>,
     shutdown: bool,
 }
@@ -234,6 +240,7 @@ impl WorkerPool {
             steals: obs.counter("pool.steals"),
             batches: obs.counter("pool.batches"),
             jobs: obs.counter("pool.jobs"),
+            jobs_inline: obs.counter("pool.jobs_inline"),
             batch_wall_ns: obs.histogram("pool.batch_wall_ns"),
             tracer: obs.tracer().clone(),
         };
@@ -342,9 +349,11 @@ impl WorkerPool {
 
     /// Submits an asynchronous job and returns a handle to claim its
     /// result. On an inline pool the job runs immediately on the caller.
+    /// Otherwise the job runs exactly once: on the first worker to reach
+    /// it, or on the thread that joins it first ([`JobHandle::join`]).
     ///
     /// Jobs may capture a clone of their own pool and publish nested
-    /// batches; the executing worker participates in those itself.
+    /// batches; the executing thread participates in those itself.
     pub fn spawn<T, F>(&self, f: F) -> JobHandle<T>
     where
         T: Send + 'static,
@@ -355,17 +364,14 @@ impl WorkerPool {
         if self.inner.workers == 0 {
             return JobHandle::ready(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
         }
-        let (handle, completer) = JobHandle::pending();
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || {
-            completer.complete(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
-        });
+        let job = Job::new(f);
         {
             let mut st = self.inner.state.lock().expect("pool state lock");
-            st.jobs.push_back(job);
+            st.jobs.push_back(Arc::clone(&job) as Arc<dyn Runnable>);
             obs.queue_depth.set(st.queue_depth());
         }
         self.inner.cv.notify_one();
-        handle
+        JobHandle::queued(job, obs)
     }
 }
 
@@ -375,12 +381,14 @@ fn worker_main(inner: Arc<Inner>, id: usize) {
         let work = {
             let mut st = inner.state.lock().expect("pool state lock");
             loop {
-                if st.shutdown {
-                    return;
-                }
+                // Queued jobs drain before shutdown: a job whose handle
+                // was dropped still runs exactly once.
                 if let Some(job) = st.jobs.pop_front() {
                     inner.obs().queue_depth.set(st.queue_depth());
                     break Work::Job(job);
+                }
+                if st.shutdown {
+                    return;
                 }
                 if let Some(b) = st.batches.iter().find(|b| b.has_work()) {
                     break Work::Batch(Arc::clone(b));
@@ -390,9 +398,9 @@ fn worker_main(inner: Arc<Inner>, id: usize) {
         };
         let tracer = inner.obs().tracer;
         match work {
+            // A joiner may have run it already; then there is nothing to do.
             Work::Job(job) => {
-                let _trace = tracer.wall_span(current_track(), "job");
-                job();
+                job.run_once(&tracer);
             }
             // Slot `id + 1`: slot 0 belongs to the publishing caller.
             Work::Batch(core) => {

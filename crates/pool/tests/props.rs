@@ -1,10 +1,39 @@
 //! Randomized properties of the worker pool, via the dr-des testkit:
-//! ordering, exactly-once execution, panic safety, and the zero-worker
-//! (inline) degradation.
+//! ordering, exactly-once execution, panic safety, the zero-worker
+//! (inline) degradation, and a joiner running a job no worker claimed.
 
 use dr_des::testkit::{usize_in, Cases};
+use dr_obs::ObsHandle;
 use dr_pool::{JobHandle, WorkerPool};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::Duration;
+
+/// Parks the only worker of `pool` inside a job until the returned sender
+/// fires; returns once the worker is parked.
+fn park_only_worker(pool: &WorkerPool) -> (JobHandle<()>, mpsc::Sender<()>) {
+    assert_eq!(pool.workers(), 1);
+    let (started_tx, started_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let parked = pool.spawn(move || {
+        started_tx.send(()).expect("test thread waits");
+        release_rx.recv().expect("test thread releases");
+    });
+    started_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the worker claims the parking job");
+    (parked, release_tx)
+}
+
+fn counter(obs: &ObsHandle, name: &str) -> u64 {
+    obs.snapshot()
+        .expect("enabled obs")
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
 
 #[test]
 fn map_collect_matches_serial_for_random_shapes() {
@@ -124,4 +153,169 @@ fn many_small_batches_on_one_pool() {
         let want: Vec<usize> = (0..n).map(|i| round * 100 + i).collect();
         assert_eq!(got, want, "round {round}");
     }
+}
+
+#[test]
+fn joiner_runs_an_unclaimed_job_on_its_own_thread() {
+    let obs = ObsHandle::enabled("pool-join-inline");
+    let pool = WorkerPool::new(1);
+    pool.set_obs(&obs);
+    let (parked, release) = park_only_worker(&pool);
+    // No worker is free, so only the joiner can run the job.
+    let ran_on = pool.spawn(|| thread::current().id()).join();
+    assert_eq!(ran_on, thread::current().id());
+    assert_eq!(counter(&obs, "pool.jobs_inline"), 1);
+    release.send(()).expect("worker is parked");
+    parked.join();
+    // The worker skips the entry the joiner emptied and keeps serving.
+    assert_eq!(pool.map_collect(8, |i| i), (0..8).collect::<Vec<_>>());
+    assert_eq!(pool.spawn(|| 3usize).join(), 3);
+}
+
+#[test]
+fn panic_in_a_job_the_joiner_ran_reaches_join() {
+    let pool = WorkerPool::new(1);
+    let (parked, release) = park_only_worker(&pool);
+    let bad: JobHandle<()> = pool.spawn(|| panic!("job failure on the joiner"));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.join()));
+    assert!(result.is_err());
+    release.send(()).expect("worker is parked");
+    parked.join();
+    // The worker pops the entry the joiner emptied and survives it: it
+    // can still claim a job of its own.
+    let (parked, release) = park_only_worker(&pool);
+    release.send(()).expect("worker is parked");
+    parked.join();
+    assert_eq!(pool.spawn(|| 9usize).join(), 9);
+}
+
+#[test]
+fn dropped_handle_job_runs_exactly_once() {
+    for workers in 0..3 {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let pool = WorkerPool::new(workers);
+        let r = Arc::clone(&runs);
+        drop(pool.spawn(move || r.fetch_add(1, Ordering::SeqCst)));
+        // Dropping the pool drains its queue before the workers exit.
+        drop(pool);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "workers={workers}");
+    }
+    // A dropped job queued behind a parked worker runs once it is free,
+    // even when a later job was run by its joiner in the meantime.
+    let runs = Arc::new(AtomicUsize::new(0));
+    let pool = WorkerPool::new(1);
+    let (parked, release) = park_only_worker(&pool);
+    let r = Arc::clone(&runs);
+    drop(pool.spawn(move || r.fetch_add(1, Ordering::SeqCst)));
+    assert_eq!(pool.spawn(|| 1usize).join(), 1);
+    release.send(()).expect("worker is parked");
+    parked.join();
+    drop(pool);
+    assert_eq!(runs.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn random_spawns_joins_and_batches_run_every_job_exactly_once() {
+    // Never deadlocks (a hang fails the test run by timeout) and never
+    // runs a job twice or not at all, whoever claims it.
+    Cases::new("pool-join-stress", 0x10B5).run(32, |rng| {
+        let workers = usize_in(rng, 0, 3);
+        let ops = usize_in(rng, 1, 48);
+        let pool = WorkerPool::new(workers);
+        let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..ops).map(|_| AtomicUsize::new(0)).collect());
+        let children = Arc::new(AtomicUsize::new(0));
+        // Every job reports here as its last step, joined or not.
+        let (done_tx, done_rx) = mpsc::channel::<usize>();
+        let mut want = vec![0usize; ops];
+        let mut want_children = 0;
+        let mut pending: Vec<(usize, JobHandle<usize>)> = Vec::new();
+        for op in 0..ops {
+            let n = usize_in(rng, 0, 64);
+            let runs_c = Arc::clone(&runs);
+            let done = done_tx.clone();
+            match usize_in(rng, 0, 4) {
+                // A plain job.
+                0 => {
+                    want[op] = 1;
+                    pending.push((
+                        op,
+                        pool.spawn(move || {
+                            runs_c[op].fetch_add(1, Ordering::SeqCst);
+                            done.send(op).expect("test thread listens");
+                            op
+                        }),
+                    ));
+                }
+                // A job publishing a nested batch.
+                1 => {
+                    want[op] = 1;
+                    let inner = pool.clone();
+                    pending.push((
+                        op,
+                        pool.spawn(move || {
+                            runs_c[op].fetch_add(1, Ordering::SeqCst);
+                            let got = inner.map_collect(n, |i| i * 7);
+                            assert_eq!(got, (0..n).map(|i| i * 7).collect::<Vec<_>>());
+                            done.send(op).expect("test thread listens");
+                            op
+                        }),
+                    ));
+                }
+                // A job that spawns and joins a child job.
+                2 => {
+                    want[op] = 1;
+                    want_children += 1;
+                    let inner = pool.clone();
+                    let children = Arc::clone(&children);
+                    pending.push((
+                        op,
+                        pool.spawn(move || {
+                            runs_c[op].fetch_add(1, Ordering::SeqCst);
+                            let child = inner.spawn(move || {
+                                children.fetch_add(1, Ordering::SeqCst);
+                                n
+                            });
+                            assert_eq!(child.join(), n);
+                            done.send(op).expect("test thread listens");
+                            op
+                        }),
+                    ));
+                }
+                // Join or drop an outstanding handle.
+                3 => {
+                    if !pending.is_empty() {
+                        let k = usize_in(rng, 0, pending.len() - 1);
+                        let (id, handle) = pending.swap_remove(k);
+                        if usize_in(rng, 0, 1) == 0 {
+                            assert_eq!(handle.join(), id);
+                        }
+                    }
+                }
+                // A batch from the driver.
+                _ => {
+                    let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                    pool.map_batch(n, |i| {
+                        hits[i].fetch_add(1, Ordering::SeqCst);
+                    });
+                    assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
+                }
+            }
+        }
+        for (id, handle) in pending {
+            assert_eq!(handle.join(), id);
+        }
+        // Jobs whose handles were dropped finish on the workers in their
+        // own time (queued ones may hold pool clones, so dropping `pool`
+        // need not wait for them).
+        drop(pool);
+        let jobs = want.iter().sum::<usize>();
+        for _ in 0..jobs {
+            done_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every job runs");
+        }
+        let got: Vec<usize> = runs.iter().map(|r| r.load(Ordering::SeqCst)).collect();
+        assert_eq!(got, want, "workers={workers}");
+        assert_eq!(children.load(Ordering::SeqCst), want_children);
+    });
 }

@@ -1286,9 +1286,13 @@ impl Pipeline {
 
     /// The double-buffered batch loop: while batch N runs its downstream
     /// stages (dedup, compression, destage) on the calling thread, batch
-    /// N+1 is already being fingerprinted on the pool. Simulated-time
-    /// accounting stays serial and in input order inside
-    /// [`Pipeline::process_batch`], so the overlap changes wall-clock
+    /// N+1 is already being fingerprinted on the pool. Joining a hash job
+    /// does not wait for a worker to wake: a job no worker has picked up
+    /// yet runs on the caller, and only a job already running is waited
+    /// for. A one-batch call (a 256 KiB volume write) therefore hashes on
+    /// the caller plus the pool, with no hand-off wait.
+    /// Simulated-time accounting stays serial and in input order inside
+    /// [`Pipeline::process_batch`], so scheduling changes wall-clock
     /// behavior only — simulated results are bit-identical.
     fn drive<I>(&mut self, batches: I) -> Report
     where
@@ -1953,10 +1957,10 @@ impl Pipeline {
         }
 
         // CPU path: bin buffer first, then (when unsettled) the bin tree.
-        // The memory probes fan out over the persistent pool against the
-        // flat bin pages (disjoint bin shards, no locking); the simulated
-        // cost accounting below stays serial and in input order, so pool
-        // scheduling never affects simulated results.
+        // The memory probes run on this thread against the flat bin pages
+        // (a batch is a few microseconds of probing, less than a pool
+        // hand-off); the simulated cost accounting below stays serial and
+        // in input order.
         let queries: Vec<(ChunkDigest, ProbeKind)> = chunks
             .iter()
             .zip(plan.iter())
@@ -1966,7 +1970,7 @@ impl Pipeline {
                 CpuProbe::None => None,
             })
             .collect();
-        let mut probed = self.index.probe_batch_on(&self.pool, &queries).into_iter();
+        let mut probed = self.index.probe_batch(&queries).into_iter();
         for (i, chunk) in chunks.iter_mut().enumerate() {
             let found = match plan[i] {
                 CpuProbe::None => {
@@ -2632,8 +2636,8 @@ mod tests {
     fn pool_width_does_not_change_simulated_results() {
         // Host pool width is a wall-clock knob only; the simulated array
         // (CpuModel::workers) is what the timeline models. Every mode runs
-        // host work on the pool: hashing and index probes, and either the
-        // CPU codec or the GPU kernel's host pass.
+        // host work on the pool: hashing, and either the CPU codec or the
+        // GPU kernel's host pass.
         let data = stream();
         for mode in IntegrationMode::ALL {
             let mut baseline = None;

@@ -186,8 +186,8 @@ impl VolumeManager {
             }
         }
         let first_recipe = self.pipeline.ingested_chunks();
-        self.pipeline
-            .run_blocks(data.chunks(chunk_bytes).map(|c| c.to_vec()));
+        // One shared copy of the request; chunks travel as views into it.
+        self.pipeline.run(data);
         // Re-fetched mutably after the pipeline borrow ends; the map was
         // not touched in between, but report the impossible case as a
         // typed error rather than aborting a checker run.
@@ -616,5 +616,63 @@ mod tests {
         // Fresh content still round-trips.
         m.write("v", 2, &block(6)).unwrap();
         assert_eq!(m.read("v", 2).unwrap(), block(6));
+    }
+
+    #[test]
+    fn request_writes_are_pool_width_invariant_and_match_pipeline_runs() {
+        // A 256 KiB request is one pipeline batch: its hash job is joined
+        // as soon as it is spawned, so the joiner usually runs it itself.
+        // Neither the pool width nor the volume layer may change the
+        // simulated report or the bytes read back, and the writes must
+        // equal the same requests fed straight through `Pipeline::run`.
+        const REQUEST: usize = 64 * 4096;
+        let stream: Vec<u8> = (0..256u32)
+            .flat_map(|i| {
+                let tag = (i % 48) as u8;
+                let mut b = vec![tag; 4096];
+                let mut state = u64::from(tag) + 1;
+                for byte in b[..1024].iter_mut() {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    *byte = (state >> 33) as u8;
+                }
+                b
+            })
+            .collect();
+        let blocks: Vec<u64> = (0..256).collect();
+        for mode in IntegrationMode::ALL {
+            let mut baseline: Option<(Report, Report)> = None;
+            for pool_workers in [1usize, 2, 4] {
+                let config = PipelineConfig {
+                    mode,
+                    verify: true,
+                    pool_workers,
+                    ..PipelineConfig::default()
+                };
+                let mut m = VolumeManager::new(config.clone());
+                m.create_volume("v", 256).unwrap();
+                for (k, request) in stream.chunks(REQUEST).enumerate() {
+                    m.write("v", (k * 64) as u64, request).unwrap();
+                }
+                let written = m.report().clone();
+
+                let mut p = Pipeline::new(config);
+                let mut direct = None;
+                for request in stream.chunks(REQUEST) {
+                    direct = Some(p.run(request));
+                }
+                assert_eq!(
+                    Some(&written),
+                    direct.as_ref(),
+                    "{mode}: pool_workers={pool_workers}: volume writes diverged from Pipeline::run"
+                );
+
+                assert_eq!(m.read_batch("v", &blocks).unwrap().concat(), stream);
+                let key = (written, m.report().clone());
+                match &baseline {
+                    None => baseline = Some(key),
+                    Some(b) => assert_eq!(*b, key, "{mode}: pool_workers={pool_workers} diverged"),
+                }
+            }
+        }
     }
 }
